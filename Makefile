@@ -8,8 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also covers perfbench: it is a separate module, so `go build ./...`
+# at the root never compiles it, and a root API change that breaks the
+# benchmark would otherwise surface only when the benchmark runs.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # race runs the full suite under the race detector, including the cache
 # layer's concurrency tests (sharded stores, singleflight cancellation,

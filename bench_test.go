@@ -288,7 +288,7 @@ func newSeedInlineInvoke(b testing.TB) func(context.Context, service.Request) (s
 	b.Helper()
 	svc := benchService()
 	clk := clock.Real()
-	monitors := metrics.NewRegistry(metrics.WithClock(clk))
+	monitors := metrics.NewRegistry(nil, "richsdk_service", "service")
 	predictor := predict.New(predict.Config{})
 	var mu sync.Mutex
 	policy := failover.RetryPolicy{MaxAttempts: 2}
@@ -298,7 +298,7 @@ func newSeedInlineInvoke(b testing.TB) func(context.Context, service.Request) (s
 		resp, attempts, err := failover.Invoke(ctx, clk, svc, req, policy)
 		elapsed := clk.Since(start)
 		monitors.Monitor("bench").Record(metrics.Observation{
-			Latency: elapsed, Err: err, Params: params, Attempts: attempts,
+			Latency: elapsed, Err: err, Attempts: attempts,
 		})
 		if err != nil {
 			return service.Response{}, err

@@ -11,7 +11,9 @@ import (
 // implements one such method: rating each service by its agreement with
 // the consensus of all services, so quality scores emerge without any
 // labeled ground truth. The scores feed the SDK's per-service quality
-// ratings (core.WithQuality / Monitor.RecordQuality) and hence ranking.
+// ratings through core.Client.Monitor(name).RecordQuality — the same
+// rating a core.WithQuality function records on each successful call — and
+// hence ranking and the richsdk_service_quality_* families on /metrics.
 
 // QualityRating is one service's consensus-agreement score.
 type QualityRating struct {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/metrics"
 	"repro/internal/service"
 )
 
@@ -157,6 +158,7 @@ type BreakerState struct {
 type BreakerSet struct {
 	cfg BreakerConfig
 	clk clock.Clock
+	set *metrics.Set // where new breakers register their gauges; nil for none
 
 	mu sync.Mutex
 	m  map[string]*Breaker
@@ -165,11 +167,17 @@ type BreakerSet struct {
 // NewBreakerSet returns an empty set producing breakers from cfg. A nil clk
 // uses the real clock.
 func NewBreakerSet(cfg BreakerConfig, clk clock.Clock) *BreakerSet {
+	return newBreakerSet(cfg, clk, nil)
+}
+
+// newBreakerSet is NewBreakerSet whose breakers render on /metrics through
+// set as richsdk_breaker_* gauges labelled service="<name>".
+func newBreakerSet(cfg BreakerConfig, clk clock.Clock, set *metrics.Set) *BreakerSet {
 	cfg.fill()
 	if clk == nil {
 		clk = clock.Real()
 	}
-	return &BreakerSet{cfg: cfg, clk: clk, m: make(map[string]*Breaker)}
+	return &BreakerSet{cfg: cfg, clk: clk, set: set, m: make(map[string]*Breaker)}
 }
 
 // For returns the breaker for the named service, creating it on first use.
@@ -180,6 +188,25 @@ func (s *BreakerSet) For(name string) *Breaker {
 	if b == nil {
 		b = newBreaker(s.cfg, s.clk)
 		s.m[name] = b
+		l := metrics.Label{Name: "service", Value: name}
+		// 0 closed, 1 half-open, 2 open, so alerting can threshold on
+		// "anything not closed".
+		s.set.Func("richsdk_breaker_state", "Circuit-breaker state: 0 closed, 1 half-open, 2 open.", "gauge",
+			func() float64 {
+				switch b.state() {
+				case breakerHalfOpen:
+					return 1
+				case breakerOpen:
+					return 2
+				}
+				return 0
+			}, l)
+		s.set.Func("richsdk_breaker_consecutive_failures", "Consecutive transient failures counted by the breaker.", "gauge",
+			func() float64 {
+				b.mu.Lock()
+				defer b.mu.Unlock()
+				return float64(b.consecutive)
+			}, l)
 	}
 	return b
 }

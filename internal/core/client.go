@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,6 +165,7 @@ type registration struct {
 type Client struct {
 	cfg        Config
 	registry   *service.Registry
+	set        *metrics.Set // every family the client renders on /metrics
 	monitors   *metrics.Registry
 	memcache   *cache.Sharded[service.Response]
 	flight     *cache.Group[service.Response]
@@ -185,10 +187,12 @@ func NewClient(cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: async pool: %w", err)
 	}
+	set := metrics.NewSet()
 	c := &Client{
 		cfg:      cfg,
 		registry: service.NewRegistry(),
-		monitors: metrics.NewRegistry(metrics.WithClock(cfg.Clock)),
+		set:      set,
+		monitors: metrics.NewRegistry(set, "richsdk_service", "service"),
 		memcache: cache.NewSharded[service.Response](cfg.CacheSize,
 			cache.WithTTL(cfg.CacheTTL),
 			cache.WithClock(cfg.Clock),
@@ -201,17 +205,61 @@ func NewClient(cfg Config) (*Client, error) {
 	}
 	empty := make(map[string]*registration)
 	c.regs.Store(&empty)
+	c.instrumentCache()
 	if cfg.Breaker.Threshold > 0 {
-		c.breakers = NewBreakerSet(cfg.Breaker, cfg.Clock)
+		c.breakers = newBreakerSet(cfg.Breaker, cfg.Clock, set)
 	}
 	if cfg.Shed.TargetP99 > 0 {
-		c.shedder = NewShedder(cfg.Shed, cfg.Clock)
+		c.shedder = newShedder(cfg.Shed, cfg.Clock, set)
 	}
+	c.instrumentTracer()
 	return c, nil
 }
 
-// Shedder exposes the client's adaptive admission controller for metrics
-// exposition and experiments; nil when shedding is disabled.
+// instrumentCache registers the response cache's families: scrape-time
+// reads of the cache's own counters, merged and per shard.
+func (c *Client) instrumentCache() {
+	mc := c.memcache
+	c.set.Func("richsdk_cache_hits_total", "Response-cache hits.", "counter",
+		func() float64 { return float64(mc.Stats().Hits) })
+	c.set.Func("richsdk_cache_misses_total", "Response-cache misses.", "counter",
+		func() float64 { return float64(mc.Stats().Misses) })
+	c.set.Func("richsdk_cache_evictions_total", "Response-cache evictions.", "counter",
+		func() float64 { return float64(mc.Stats().Evictions) })
+	c.set.Func("richsdk_cache_expired_total", "Expired response-cache entries reclaimed.", "counter",
+		func() float64 { return float64(mc.Stats().Expired) })
+	c.set.Func("richsdk_cache_hit_ratio", "Response-cache hit ratio: hits / (hits + misses).", "gauge",
+		func() float64 { return mc.Stats().HitRatio() })
+	c.set.Func("richsdk_cache_size", "Response-cache entries currently held.", "gauge",
+		func() float64 { return float64(mc.Stats().Size) })
+	for i := 0; i < mc.ShardCount(); i++ {
+		l := metrics.Label{Name: "shard", Value: strconv.Itoa(i)}
+		c.set.Func("richsdk_cache_shard_size", "Response-cache entries held per shard.", "gauge",
+			func() float64 { return float64(mc.ShardStats()[i].Size) }, l)
+		c.set.Func("richsdk_cache_shard_evictions_total", "Response-cache evictions per shard.", "counter",
+			func() float64 { return float64(mc.ShardStats()[i].Evictions) }, l)
+	}
+}
+
+// instrumentTracer registers the tracer's sampling and retention
+// families; a disabled tracer registers none.
+func (c *Client) instrumentTracer() {
+	tr := c.cfg.Tracer
+	if !tr.Enabled() {
+		return
+	}
+	c.set.Func("richsdk_traces_sampled_total", "Traces admitted by head sampling.", "counter",
+		func() float64 { return float64(tr.Stats().Sampled) })
+	c.set.Func("richsdk_traces_unsampled_total", "Traces rejected by head sampling.", "counter",
+		func() float64 { return float64(tr.Stats().Unsampled) })
+	c.set.Func("richsdk_trace_spans_dropped_total", "Spans dropped by per-trace span budgets.", "counter",
+		func() float64 { return float64(tr.Stats().DroppedSpans) })
+	c.set.Func("richsdk_traces_stored", "Traces currently retained in the ring store.", "gauge",
+		func() float64 { return float64(tr.Stats().Stored) })
+}
+
+// Shedder exposes the client's adaptive admission controller for
+// experiments and load reports; nil when shedding is disabled.
 func (c *Client) Shedder() *Shedder { return c.shedder }
 
 // Close releases the client's async pool — waiting for in-flight async
@@ -631,10 +679,6 @@ func (c *Client) InvokeAll(ctx context.Context, category string, req service.Req
 // CacheStats returns the response cache's activity counters, merged
 // across shards.
 func (c *Client) CacheStats() cache.Stats { return c.memcache.Stats() }
-
-// CacheShardStats returns each cache shard's counters in shard order, for
-// per-shard gauges and balance diagnostics.
-func (c *Client) CacheShardStats() []cache.Stats { return c.memcache.ShardStats() }
 
 // InvalidateCache drops every cached response (paper §2: "consistency
 // issues may arise in which a cached value is obsolete").

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"repro/internal/metrics"
 	"repro/internal/service"
@@ -35,15 +34,7 @@ import (
 type API struct {
 	client *Client
 	mux    *http.ServeMux
-	extra  []extraMetrics
-	sets   []*metrics.Set
-}
-
-// extraMetrics is an additional monitor registry rendered on /metrics, for
-// example an analysis pipeline's per-stage monitors.
-type extraMetrics struct {
-	prefix, label string
-	reg           *metrics.Registry
+	sets   []*metrics.Set // rendered on /metrics in order, the client's first
 }
 
 var _ http.Handler = (*API)(nil)
@@ -51,21 +42,11 @@ var _ http.Handler = (*API)(nil)
 // APIOption customizes the HTTP façade.
 type APIOption func(*API)
 
-// WithExtraMetrics renders reg's snapshots on /metrics as <prefix>_*
-// families labelled <label>="<monitor name>", alongside the client's own
-// service metrics.
-func WithExtraMetrics(prefix, label string, reg *metrics.Registry) APIOption {
-	return func(a *API) {
-		if reg != nil {
-			a.extra = append(a.extra, extraMetrics{prefix: prefix, label: label, reg: reg})
-		}
-	}
-}
-
 // WithInstruments renders every family registered in set — the substrate
 // counters, gauges, and histograms from search, rdf, nlu, intern, and
-// pipeline instrumentation — on /metrics alongside the client's own
-// families. May be given multiple times; nil sets are ignored.
+// pipeline instrumentation, pipeline stage monitors included — on /metrics
+// after the client's own families. May be given multiple times; nil sets
+// are ignored.
 func WithInstruments(set *metrics.Set) APIOption {
 	return func(a *API) {
 		if set != nil {
@@ -76,7 +57,7 @@ func WithInstruments(set *metrics.Set) APIOption {
 
 // NewAPI returns the HTTP façade for client.
 func NewAPI(client *Client, opts ...APIOption) *API {
-	a := &API{client: client, mux: http.NewServeMux()}
+	a := &API{client: client, mux: http.NewServeMux(), sets: []*metrics.Set{client.set}}
 	for _, o := range opts {
 		o(a)
 	}
@@ -285,87 +266,13 @@ func (a *API) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSONStatus(w, http.StatusOK, tr)
 }
 
-// breakerStateValue maps breaker states onto a numeric gauge: 0 closed,
-// 1 half-open, 2 open, so alerting can threshold on "anything not closed".
-func breakerStateValue(state string) float64 {
-	switch state {
-	case "half-open":
-		return 1
-	case "open":
-		return 2
-	default:
-		return 0
-	}
-}
-
+// handleMetrics renders the client's Set — service monitors, cache,
+// breakers, shedder, tracer — and every WithInstruments Set.
 func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	tw := metrics.NewTextWriter(w)
-	metrics.WriteSnapshots(tw, "richsdk_service", "service", a.client.Stats())
-	for _, ex := range a.extra {
-		metrics.WriteSnapshots(tw, ex.prefix, ex.label, ex.reg.Snapshots())
-	}
 	for _, set := range a.sets {
 		set.Expose(tw)
-	}
-
-	cs := a.client.CacheStats()
-	tw.Family("richsdk_cache_hits_total", "Response-cache hits.", "counter")
-	tw.Metric("richsdk_cache_hits_total", float64(cs.Hits))
-	tw.Family("richsdk_cache_misses_total", "Response-cache misses.", "counter")
-	tw.Metric("richsdk_cache_misses_total", float64(cs.Misses))
-	tw.Family("richsdk_cache_evictions_total", "Response-cache evictions.", "counter")
-	tw.Metric("richsdk_cache_evictions_total", float64(cs.Evictions))
-	tw.Family("richsdk_cache_expired_total", "Expired response-cache entries reclaimed.", "counter")
-	tw.Metric("richsdk_cache_expired_total", float64(cs.Expired))
-	tw.Family("richsdk_cache_hit_ratio", "Response-cache hit ratio: hits / (hits + misses).", "gauge")
-	tw.Metric("richsdk_cache_hit_ratio", cs.HitRatio())
-	tw.Family("richsdk_cache_size", "Response-cache entries currently held.", "gauge")
-	tw.Metric("richsdk_cache_size", float64(cs.Size))
-	shardStats := a.client.CacheShardStats()
-	tw.Family("richsdk_cache_shard_size", "Response-cache entries held per shard.", "gauge")
-	for i, ss := range shardStats {
-		tw.Metric("richsdk_cache_shard_size", float64(ss.Size), metrics.Label{Name: "shard", Value: strconv.Itoa(i)})
-	}
-	tw.Family("richsdk_cache_shard_evictions_total", "Response-cache evictions per shard.", "counter")
-	for i, ss := range shardStats {
-		tw.Metric("richsdk_cache_shard_evictions_total", float64(ss.Evictions), metrics.Label{Name: "shard", Value: strconv.Itoa(i)})
-	}
-
-	if states := a.client.BreakerStates(); len(states) > 0 {
-		tw.Family("richsdk_breaker_state", "Circuit-breaker state: 0 closed, 1 half-open, 2 open.", "gauge")
-		for _, st := range states {
-			tw.Metric("richsdk_breaker_state", breakerStateValue(st.State), metrics.Label{Name: "service", Value: st.Service})
-		}
-		tw.Family("richsdk_breaker_consecutive_failures", "Consecutive transient failures counted by the breaker.", "gauge")
-		for _, st := range states {
-			tw.Metric("richsdk_breaker_consecutive_failures", float64(st.Consecutive), metrics.Label{Name: "service", Value: st.Service})
-		}
-	}
-
-	if sh := a.client.Shedder(); sh != nil {
-		tw.Family("richsdk_shed_inflight", "Admitted calls currently in flight through the shed stage.", "gauge")
-		tw.Metric("richsdk_shed_inflight", float64(sh.InFlight()))
-		tw.Family("richsdk_shed_limit", "Current adaptive concurrency limit.", "gauge")
-		tw.Metric("richsdk_shed_limit", float64(sh.Limit()))
-		tw.Family("richsdk_shed_admitted_total", "Calls admitted by the shed stage.", "counter")
-		tw.Metric("richsdk_shed_admitted_total", float64(sh.Admitted()))
-		tw.Family("richsdk_shed_rejected_total", "Calls shed (fast 429) by the shed stage.", "counter")
-		tw.Metric("richsdk_shed_rejected_total", float64(sh.Rejected()))
-		tw.Family("richsdk_shed_latency", "Admitted-call latency as seen by the admission controller.", "histogram")
-		metrics.WriteHistogram(tw, "richsdk_shed_latency", sh.LatencySnapshot())
-	}
-
-	if tr := a.client.Tracer(); tr.Enabled() {
-		st := tr.Stats()
-		tw.Family("richsdk_traces_sampled_total", "Traces admitted by head sampling.", "counter")
-		tw.Metric("richsdk_traces_sampled_total", float64(st.Sampled))
-		tw.Family("richsdk_traces_unsampled_total", "Traces rejected by head sampling.", "counter")
-		tw.Metric("richsdk_traces_unsampled_total", float64(st.Unsampled))
-		tw.Family("richsdk_trace_spans_dropped_total", "Spans dropped by per-trace span budgets.", "counter")
-		tw.Metric("richsdk_trace_spans_dropped_total", float64(st.DroppedSpans))
-		tw.Family("richsdk_traces_stored", "Traces currently retained in the ring store.", "gauge")
-		tw.Metric("richsdk_traces_stored", float64(st.Stored))
 	}
 	_ = tw.Err()
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -11,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
+	"repro/internal/failover"
 	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/trace"
@@ -75,9 +81,9 @@ func TestAPIStatsContent(t *testing.T) {
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z0-9_]+="(\\.|[^"\\])*"(,[a-zA-Z0-9_]+="(\\.|[^"\\])*")*\})? (NaN|[+-]Inf|[0-9eE+.-]+)$`)
 
 func TestAPIMetricsPrometheusText(t *testing.T) {
-	extra := metrics.NewRegistry()
-	extra.Monitor("fetch").Record(metrics.Observation{Latency: 5e6})
-	srv, _, _ := newObsAPIServer(t, WithExtraMetrics("richsdk_pipeline_stage", "stage", extra))
+	stages := metrics.NewSet()
+	metrics.NewRegistry(stages, "richsdk_pipeline_stage", "stage").Monitor("fetch").Record(metrics.Observation{Latency: 5e6})
+	srv, _, _ := newObsAPIServer(t, WithInstruments(stages))
 	for i := 0; i < 2; i++ {
 		r := postJSON(t, srv.URL+"/v1/invoke", invokeBody{Service: "echo", Request: service.Request{Text: "q"}})
 		r.Body.Close()
@@ -114,7 +120,10 @@ func TestAPIMetricsPrometheusText(t *testing.T) {
 			t.Fatalf("malformed exposition line: %q", line)
 		}
 		name := line[:strings.IndexAny(line, "{ ")]
-		base := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
+		base := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			base = strings.TrimSuffix(base, suffix)
+		}
 		if !typed[name] && !typed[base] {
 			t.Errorf("sample %q lacks a TYPE header", name)
 		}
@@ -124,16 +133,190 @@ func TestAPIMetricsPrometheusText(t *testing.T) {
 		`richsdk_service_invocations_total{service="echo"} 1`,
 		`richsdk_service_failures_total{service="echo"} 0`,
 		`richsdk_service_availability{service="echo"} 1`,
-		`richsdk_service_latency_seconds{service="echo",quantile="0.5"}`,
-		`richsdk_service_latency_seconds{service="echo",quantile="0.95"}`,
-		`richsdk_service_latency_seconds{service="echo",quantile="0.99"}`,
+		"# TYPE richsdk_service_latency_seconds histogram",
+		`richsdk_service_latency_seconds_bucket{service="echo",le="+Inf"} 1`,
+		`richsdk_service_latency_seconds_count{service="echo"} 1`,
 		`richsdk_pipeline_stage_invocations_total{stage="fetch"} 1`,
+		"# TYPE richsdk_pipeline_stage_latency_seconds histogram",
 		`richsdk_cache_hits_total 1`,
 		`richsdk_breaker_state{service="echo"} 0`,
 		`richsdk_traces_sampled_total 2`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\n---\n%s", want, body)
+		}
+	}
+}
+
+// scrapeSamples fetches /metrics and returns every sample keyed by its
+// name and label set exactly as rendered, e.g. `x_total{service="a"}`.
+func scrapeSamples(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if !promLine.MatchString(line) {
+			t.Fatalf("malformed exposition line: %q", line)
+		}
+		i := strings.LastIndexByte(line, ' ')
+		samples[line[:i]] = parseProm(t, line[i+1:])
+	}
+	return samples
+}
+
+// TestStatsAndMetricsAgree checks that /v1/stats and /metrics report the
+// same monitor for the same service: both read one set of instruments.
+// nlu-alpha answers 100 calls taking 1..100ms on a virtual clock and fails
+// one call after 3 attempts; "rated" carries a quality function and
+// answers one call and fails one; idle-svc is monitored but never called.
+func TestStatsAndMetricsAgree(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	c, err := NewClient(Config{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	var served int
+	c.MustRegister(service.Func{
+		Meta: service.Info{Name: "nlu-alpha", Category: "nlu"},
+		Fn: func(_ context.Context, req service.Request) (service.Response, error) {
+			if req.Text == "fail" {
+				return service.Response{}, fmt.Errorf("down: %w", service.ErrUnavailable)
+			}
+			served++
+			clk.Advance(time.Duration(served) * time.Millisecond)
+			return service.Response{Body: []byte("ok")}, nil
+		},
+	}, WithRetry(failover.RetryPolicy{MaxAttempts: 3}))
+	c.MustRegister(service.Func{
+		Meta: service.Info{Name: "rated", Category: "nlu"},
+		Fn: func(_ context.Context, req service.Request) (service.Response, error) {
+			if req.Text == "fail" {
+				return service.Response{}, fmt.Errorf("down: %w", service.ErrUnavailable)
+			}
+			return service.Response{Body: []byte("ok")}, nil
+		},
+	}, WithQuality(func(service.Request, service.Response) float64 { return 0.75 }))
+	ctx := context.Background()
+	for i := 0; i < 100; i++ {
+		if _, err := c.Invoke(ctx, "nlu-alpha", service.Request{Text: "q"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, call := range []struct{ svc, text string }{{"nlu-alpha", "fail"}, {"rated", "q"}, {"rated", "fail"}} {
+		_, err := c.Invoke(ctx, call.svc, service.Request{Text: call.text})
+		if fail := call.text == "fail"; fail != errors.Is(err, service.ErrUnavailable) {
+			t.Fatalf("%s(%s): err = %v", call.svc, call.text, err)
+		}
+	}
+	c.Monitor("idle-svc")
+
+	srv := httptest.NewServer(NewAPI(c))
+	t.Cleanup(srv.Close)
+	var stats struct {
+		Services []metrics.Snapshot `json:"services"`
+	}
+	getJSON(t, srv.URL+"/v1/stats", &stats)
+	samples := scrapeSamples(t, srv.URL)
+	byName := map[string]metrics.Snapshot{}
+	for _, s := range stats.Services {
+		byName[s.Name] = s
+	}
+
+	// Both endpoints agree on every service.
+	if len(stats.Services) != 3 {
+		t.Fatalf("/v1/stats covers %d services, want 3: %+v", len(stats.Services), stats.Services)
+	}
+	for _, s := range stats.Services {
+		l := fmt.Sprintf(`{service=%q}`, s.Name)
+		sample := func(family string) float64 {
+			t.Helper()
+			v, ok := samples["richsdk_service_"+family+l]
+			if !ok {
+				t.Fatalf("/metrics has no richsdk_service_%s%s", family, l)
+			}
+			return v
+		}
+		succ := float64(s.Count - s.Failures)
+		for _, c := range []struct {
+			family string
+			json   float64
+		}{
+			{"invocations_total", float64(s.Count)},
+			{"failures_total", float64(s.Failures)},
+			{"retries_total", float64(s.Retries)},
+			{"quality_ratings_total", float64(s.QualityCount)},
+			{"availability", s.Availability},
+			{"quality_mean", s.MeanQuality},
+			{"latency_seconds_count", succ},
+		} {
+			if got := sample(c.family); got != c.json {
+				t.Errorf("%s: /metrics %s = %v, /v1/stats says %v", s.Name, c.family, got, c.json)
+			}
+		}
+		inf := samples[fmt.Sprintf(`richsdk_service_latency_seconds_bucket{service=%q,le="+Inf"}`, s.Name)]
+		if inf != succ {
+			t.Errorf("%s: +Inf bucket = %v, want _count = successes = %v", s.Name, inf, succ)
+		}
+		if succ > 0 {
+			mean := sample("latency_seconds_sum") / succ
+			if math.Abs(mean-s.MeanLatency.Seconds()) > 1e-9 {
+				t.Errorf("%s: _sum/_count = %vs, MeanLatency = %v", s.Name, mean, s.MeanLatency)
+			}
+		}
+	}
+
+	// The values themselves.
+	alpha := byName["nlu-alpha"]
+	if alpha.Count != 101 || alpha.Failures != 1 || alpha.Retries != 2 || alpha.Count-alpha.Failures != 100 {
+		t.Errorf("nlu-alpha = %+v, want 101 calls, 1 failure, 2 retries, 100 successes", alpha)
+	}
+	if alpha.Availability <= 0.98 || alpha.Availability >= 1 {
+		t.Errorf("nlu-alpha availability = %v, want ~100/101", alpha.Availability)
+	}
+	if idle := byName["idle-svc"]; idle.Count != 0 || idle.Availability != 1 {
+		t.Errorf("idle-svc = %+v, want 0 calls at availability 1", idle)
+	}
+	if rated := byName["rated"]; rated.MeanQuality != 0.75 || rated.QualityCount != 1 || rated.Failures != 1 {
+		t.Errorf("rated = %+v, want quality 0.75 from 1 rating (failures are not rated)", rated)
+	}
+
+	// P50 and P99 of 1..100ms sit in the ladder's octaves: each quantile
+	// lies above the last le bound holding fewer than its rank and at or
+	// below the first bound holding at least its rank.
+	if alpha.P50Latency <= 0 || alpha.P99Latency < alpha.P50Latency {
+		t.Fatalf("quantiles implausible: p50=%v p99=%v", alpha.P50Latency, alpha.P99Latency)
+	}
+	for _, q := range []struct {
+		rank float64
+		got  time.Duration
+	}{{50, alpha.P50Latency}, {99, alpha.P99Latency}} {
+		lo, hi := 0.0, math.Inf(1)
+		for e := 10; e <= 42; e++ {
+			le := float64(int64(1)<<e-1) / 1e9
+			cum, ok := samples[fmt.Sprintf(`richsdk_service_latency_seconds_bucket{service="nlu-alpha",le="%g"}`, le)]
+			if !ok {
+				t.Fatalf("ladder has no le=%g bucket", le)
+			}
+			if cum < q.rank {
+				lo = le
+			} else if le < hi {
+				hi = le
+			}
+		}
+		if s := q.got.Seconds(); s <= lo || s > hi {
+			t.Errorf("rank-%v quantile %v outside its ladder octave (%vs, %vs]", q.rank, q.got, lo, hi)
 		}
 	}
 }

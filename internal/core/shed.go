@@ -88,11 +88,29 @@ type Shedder struct {
 // NewShedder returns a controller with the limit opened to MaxInFlight.
 // A nil clk uses the real clock.
 func NewShedder(cfg ShedConfig, clk clock.Clock) *Shedder {
+	return newShedder(cfg, clk, nil)
+}
+
+// newShedder is NewShedder whose state renders on /metrics through set as
+// richsdk_shed_* families, the latency histogram included.
+func newShedder(cfg ShedConfig, clk clock.Clock, set *metrics.Set) *Shedder {
 	cfg.fill()
 	if clk == nil {
 		clk = clock.Real()
 	}
-	s := &Shedder{cfg: cfg, clk: clk, hist: metrics.NewHistogram()}
+	s := &Shedder{cfg: cfg, clk: clk}
+	set.Func("richsdk_shed_inflight", "Admitted calls currently in flight through the shed stage.", "gauge",
+		func() float64 { return float64(s.InFlight()) })
+	set.Func("richsdk_shed_limit", "Current adaptive concurrency limit.", "gauge",
+		func() float64 { return float64(s.Limit()) })
+	set.Func("richsdk_shed_admitted_total", "Calls admitted by the shed stage.", "counter",
+		func() float64 { return float64(s.Admitted()) })
+	set.Func("richsdk_shed_rejected_total", "Calls shed (fast 429) by the shed stage.", "counter",
+		func() float64 { return float64(s.Rejected()) })
+	s.hist = set.Histogram("richsdk_shed_latency", "Admitted-call latency as seen by the admission controller.")
+	if s.hist == nil {
+		s.hist = metrics.NewHistogram()
+	}
 	s.limit.Store(int64(cfg.MaxInFlight))
 	s.lastAdapt.Store(clk.Now().UnixNano())
 	return s
@@ -218,7 +236,7 @@ func (s *Shedder) Admitted() uint64 { return s.admitted.Load() }
 func (s *Shedder) Rejected() uint64 { return s.rejected.Load() }
 
 // LatencySnapshot returns the cumulative admitted-call latency
-// distribution, for /metrics exposition and experiment reporting.
+// distribution, for experiment reporting.
 func (s *Shedder) LatencySnapshot() metrics.HistSnapshot { return s.hist.Snapshot() }
 
 // ShedStage is the adaptive load-shedding stage. It sits after the

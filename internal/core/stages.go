@@ -250,7 +250,7 @@ func DeadlineStage(predictLatency func(name string, params []float64) (time.Dura
 }
 
 // MonitorStage records every call that reaches the service — latency,
-// availability, attempts, latency parameters — into the service's monitor,
+// availability, attempts — into the service's monitor,
 // and rates successful responses with the registration's quality function
 // (paper §2: monitoring and data collection, service quality evaluation).
 func MonitorStage(monitors *metrics.Registry) Middleware {
@@ -265,7 +265,6 @@ func MonitorStage(monitors *metrics.Registry) Middleware {
 			mon.Record(metrics.Observation{
 				Latency:  call.Elapsed,
 				Err:      err,
-				Params:   call.LatencyParams(),
 				Attempts: call.Attempts,
 			})
 			sp.SetDuration("recorded_ms", call.Elapsed)

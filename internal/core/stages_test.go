@@ -143,7 +143,7 @@ func TestRetryStageRecordsAttemptsAndBackoffElapsed(t *testing.T) {
 }
 
 func TestMonitorStageRecordsOutcomeAndQuality(t *testing.T) {
-	reg := metrics.NewRegistry()
+	reg := metrics.NewRegistry(nil, "richsdk_service", "service")
 	var calls int
 	okInv := Compose(fixed(service.Response{Body: []byte("ok")}, nil, &calls), MonitorStage(reg))
 	call := &Call{
@@ -167,10 +167,6 @@ func TestMonitorStageRecordsOutcomeAndQuality(t *testing.T) {
 	}
 	if snap.MeanQuality != 0.75 || snap.QualityCount != 1 {
 		t.Errorf("quality = %v/%d, want 0.75/1", snap.MeanQuality, snap.QualityCount)
-	}
-	params, _ := reg.Monitor("m").ParamObservations()
-	if len(params) != 1 || params[0][0] != 42 {
-		t.Errorf("params = %v, want [[42]]", params)
 	}
 
 	failInv := Compose(fixed(service.Response{}, fmt.Errorf("down: %w", service.ErrUnavailable), &calls), MonitorStage(reg))
@@ -208,6 +204,21 @@ func TestPredictStageObservesSuccessesOnly(t *testing.T) {
 	}
 	if d <= 0 {
 		t.Errorf("prediction = %v, want > 0", d)
+	}
+
+	// Successes are observed under the registration's latency params:
+	// 5ms at param 42 and 10ms at param 84 fit latency = param·5/42 ms,
+	// which only the recorded params can extrapolate to 15ms at 126.
+	lin := NewPredictorSet(predict.Config{MinObservations: 2})
+	for _, x := range []float64{42, 84} {
+		inv := Compose(fixed(service.Response{}, nil, &calls), PredictStage(lin))
+		reg := &registration{name: "m", params: func(service.Request) []float64 { return []float64{x} }}
+		if _, err := inv(context.Background(), &Call{reg: reg, Elapsed: time.Duration(x/42*5) * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, err := lin.Predict("m", []float64{126}, nil); err != nil || d < 14900*time.Microsecond || d > 15100*time.Microsecond {
+		t.Errorf("prediction at param 126 = %v, %v; want 15ms (params [42] and [84] recorded)", d, err)
 	}
 }
 

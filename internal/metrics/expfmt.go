@@ -97,50 +97,6 @@ func escapeHelp(s string) string { return helpReplacer.Replace(s) }
 
 func escapeLabel(s string) string { return labelReplacer.Replace(s) }
 
-// WriteSnapshots renders per-service monitor snapshots as a set of metric
-// families named <prefix>_*, one sample per snapshot labelled
-// <label>="<name>". Latency renders as a summary in seconds with P50/P95/P99
-// quantiles plus the _sum/_count convention derived from the mean. The same
-// renderer serves SDK service monitors (prefix "richsdk_service",
-// label "service") and pipeline stage monitors (prefix "richsdk_pipeline_stage",
-// label "stage").
-func WriteSnapshots(t *TextWriter, prefix, label string, snaps []Snapshot) {
-	t.Family(prefix+"_invocations_total", "Total invocations recorded.", "counter")
-	for _, s := range snaps {
-		t.Metric(prefix+"_invocations_total", float64(s.Count), Label{label, s.Name})
-	}
-	t.Family(prefix+"_failures_total", "Invocations that returned an error.", "counter")
-	for _, s := range snaps {
-		t.Metric(prefix+"_failures_total", float64(s.Failures), Label{label, s.Name})
-	}
-	t.Family(prefix+"_retries_total", "Transport attempts beyond each invocation's first.", "counter")
-	for _, s := range snaps {
-		t.Metric(prefix+"_retries_total", float64(s.Retries), Label{label, s.Name})
-	}
-	t.Family(prefix+"_availability", "Success fraction over all recorded invocations.", "gauge")
-	for _, s := range snaps {
-		t.Metric(prefix+"_availability", s.Availability, Label{label, s.Name})
-	}
-	lat := prefix + "_latency_seconds"
-	t.Family(lat, "Latency of successful invocations.", "summary")
-	for _, s := range snaps {
-		succ := s.Count - s.Failures
-		t.Metric(lat, seconds(s.P50Latency), Label{label, s.Name}, Label{"quantile", "0.5"})
-		t.Metric(lat, seconds(s.P95Latency), Label{label, s.Name}, Label{"quantile", "0.95"})
-		t.Metric(lat, seconds(s.P99Latency), Label{label, s.Name}, Label{"quantile", "0.99"})
-		t.Metric(lat+"_sum", seconds(s.MeanLatency)*float64(succ), Label{label, s.Name})
-		t.Metric(lat+"_count", float64(succ), Label{label, s.Name})
-	}
-	t.Family(prefix+"_quality_ratings_total", "User-supplied quality ratings recorded.", "counter")
-	for _, s := range snaps {
-		t.Metric(prefix+"_quality_ratings_total", float64(s.QualityCount), Label{label, s.Name})
-	}
-	t.Family(prefix+"_quality_mean", "Mean user-supplied quality rating (0 when never rated).", "gauge")
-	for _, s := range snaps {
-		t.Metric(prefix+"_quality_mean", s.MeanQuality, Label{label, s.Name})
-	}
-}
-
 func seconds(d time.Duration) float64 { return d.Seconds() }
 
 // expoMinExp is the smallest power-of-two boundary rendered as an `le`

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // parseExposition is a strict line-oriented parser for the subset of the
@@ -85,46 +84,5 @@ func TestTextWriterFormat(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `demo_gauge{kind="up"} +Inf`) {
 		t.Errorf("+Inf rendering wrong:\n%s", buf.String())
-	}
-}
-
-func TestWriteSnapshots(t *testing.T) {
-	m := NewMonitor("nlu-alpha")
-	for i := 0; i < 100; i++ {
-		m.Record(Observation{Latency: time.Duration(i+1) * time.Millisecond})
-	}
-	m.Record(Observation{Latency: time.Millisecond, Err: errBoom, Attempts: 3})
-	m.RecordQuality(0.8)
-	idle := NewMonitor("idle-svc")
-
-	var buf bytes.Buffer
-	tw := NewTextWriter(&buf)
-	WriteSnapshots(tw, "richsdk_service", "service", []Snapshot{m.Snapshot(), idle.Snapshot()})
-	if err := tw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	samples := parseExposition(t, buf.String())
-
-	want := map[string]float64{
-		`richsdk_service_invocations_total{service="nlu-alpha"}`:     101,
-		`richsdk_service_failures_total{service="nlu-alpha"}`:        1,
-		`richsdk_service_retries_total{service="nlu-alpha"}`:         2,
-		`richsdk_service_latency_seconds_count{service="nlu-alpha"}`: 100,
-		`richsdk_service_quality_ratings_total{service="nlu-alpha"}`: 1,
-		`richsdk_service_invocations_total{service="idle-svc"}`:      0,
-		`richsdk_service_availability{service="idle-svc"}`:           1,
-	}
-	for k, v := range want {
-		if got, ok := samples[k]; !ok || got != v {
-			t.Errorf("%s = %v (present=%v), want %v", k, got, ok, v)
-		}
-	}
-	p50 := samples[`richsdk_service_latency_seconds{service="nlu-alpha",quantile="0.5"}`]
-	p99 := samples[`richsdk_service_latency_seconds{service="nlu-alpha",quantile="0.99"}`]
-	if p50 <= 0 || p99 < p50 {
-		t.Errorf("quantiles implausible: p50=%v p99=%v", p50, p99)
-	}
-	if avail := samples[`richsdk_service_availability{service="nlu-alpha"}`]; avail <= 0.98 || avail >= 1 {
-		t.Errorf("availability = %v, want ~100/101", avail)
 	}
 }

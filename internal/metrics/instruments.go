@@ -95,8 +95,8 @@ func (g *Gauge) Value() int64 {
 // octave is split into histSubCount linear sub-buckets, so any recorded
 // value sits in a bucket whose width is at most 1/histSubCount (6.25%)
 // of its magnitude. The layout is fixed at compile time — every
-// histogram shares it, which is what makes snapshots mergeable by plain
-// bucket-wise addition.
+// histogram shares it, which is what makes snapshots comparable bucket by
+// bucket.
 const (
 	histSubBits  = 4
 	histSubCount = 1 << histSubBits // linear sub-buckets per octave
@@ -178,22 +178,13 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// HistSnapshot is a point-in-time copy of a histogram. Snapshots from
-// different histograms merge by bucket-wise addition (the layout is
-// global), which is how per-shard or per-engine distributions roll up.
+// HistSnapshot is a point-in-time copy of a histogram. The bucket layout
+// is global, so two snapshots combine bucket-wise: the shedder subtracts
+// successive cumulative snapshots to get one window's distribution.
 type HistSnapshot struct {
 	Count   uint64
 	Sum     time.Duration
 	Buckets []uint64 // len histNumBuckets, same global layout everywhere
-}
-
-// Merge folds o into s.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i, n := range o.Buckets {
-		s.Buckets[i] += n
-	}
 }
 
 // Mean returns the average observed latency, 0 with no data.
@@ -232,11 +223,11 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 
 // Set is a registry of instrument families: each family has a name, a
 // help string, a type, and one instrument per label set. Registration
-// (the Counter/Gauge/Histogram methods) takes a lock and may allocate;
-// the returned instruments are the lock-free hot-path handles. Families
-// render on /metrics in registration order via Expose. A nil Set returns
-// nil (inert) instruments, so "instrument when given a Set, stay silent
-// otherwise" needs no branching at the call site.
+// (the Counter/Gauge/Histogram/Func methods) takes a lock and may
+// allocate; the returned instruments are the lock-free hot-path handles.
+// Families render on /metrics in registration order via Expose. A nil Set
+// returns nil (inert) instruments, so "instrument when given a Set, stay
+// silent otherwise" needs no branching at the call site.
 type Set struct {
 	mu       sync.Mutex
 	families []*family
@@ -245,14 +236,17 @@ type Set struct {
 
 type family struct {
 	name, help, typ string
-	insts           []setInstrument
+	insts           []*setInstrument
 }
 
+// setInstrument is one label set of a family. Exactly one of c, g, h, fn
+// is set, fixed when the slot is created.
 type setInstrument struct {
 	labels []Label
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
+	fn     func() float64
 }
 
 // NewSet returns an empty instrument set.
@@ -260,11 +254,14 @@ func NewSet() *Set {
 	return &Set{index: make(map[string]*family)}
 }
 
-// lookup finds or creates the family and the instrument slot for the
-// label set, enforcing one type per family name. It returns the existing
-// instrument when the same name and labels were registered before, so
-// labeled families can be built incrementally from several call sites.
-func (s *Set) lookup(name, help, typ string, labels []Label) *setInstrument {
+// register finds or creates the instrument for name and labels,
+// enforcing one type per family name. A new slot is filled by init while
+// the lock is held, so concurrent registrations of the same name and
+// labels all receive the one instrument the first of them created; an
+// existing slot is returned as is, so labeled families can be built
+// incrementally from several call sites. Slots are individually
+// allocated, so the pointer stays valid as the family grows.
+func (s *Set) register(name, help, typ string, labels []Label, init func(*setInstrument)) *setInstrument {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.index[name]
@@ -275,15 +272,15 @@ func (s *Set) lookup(name, help, typ string, labels []Label) *setInstrument {
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("metrics: family %s registered as %s, requested as %s", name, f.typ, typ))
 	}
-	for i := range f.insts {
-		if labelsEqual(f.insts[i].labels, labels) {
-			return &f.insts[i]
+	for _, in := range f.insts {
+		if labelsEqual(in.labels, labels) {
+			return in
 		}
 	}
-	cp := make([]Label, len(labels))
-	copy(cp, labels)
-	f.insts = append(f.insts, setInstrument{labels: cp})
-	return &f.insts[len(f.insts)-1]
+	in := &setInstrument{labels: append([]Label(nil), labels...)}
+	init(in)
+	f.insts = append(f.insts, in)
+	return in
 }
 
 func labelsEqual(a, b []Label) bool {
@@ -304,11 +301,7 @@ func (s *Set) Counter(name, help string, labels ...Label) *Counter {
 	if s == nil {
 		return nil
 	}
-	in := s.lookup(name, help, "counter", labels)
-	if in.c == nil {
-		in.c = NewCounter()
-	}
-	return in.c
+	return s.register(name, help, "counter", labels, func(in *setInstrument) { in.c = NewCounter() }).c
 }
 
 // Gauge registers (or retrieves) the gauge for name and labels. A nil
@@ -317,11 +310,7 @@ func (s *Set) Gauge(name, help string, labels ...Label) *Gauge {
 	if s == nil {
 		return nil
 	}
-	in := s.lookup(name, help, "gauge", labels)
-	if in.g == nil {
-		in.g = NewGauge()
-	}
-	return in.g
+	return s.register(name, help, "gauge", labels, func(in *setInstrument) { in.g = NewGauge() }).g
 }
 
 // Histogram registers (or retrieves) the histogram for name and labels.
@@ -330,11 +319,25 @@ func (s *Set) Histogram(name, help string, labels ...Label) *Histogram {
 	if s == nil {
 		return nil
 	}
-	in := s.lookup(name, help, "histogram", labels)
-	if in.h == nil {
-		in.h = NewHistogram()
+	return s.register(name, help, "histogram", labels, func(in *setInstrument) { in.h = NewHistogram() }).h
+}
+
+// Func registers a scrape-time instrument for name and labels, in the
+// manner of Prometheus' GaugeFunc/CounterFunc: Expose calls fn and
+// renders its result as a sample of type typ, "counter" or "gauge". It
+// serves values that are derived from other state (a ratio, a mean) or
+// owned by another component (a cache's hit count, a breaker's state),
+// which would otherwise need a second copy kept in step on the hot path.
+// fn runs on every scrape, so it must be cheap. Re-registering the same
+// name and labels keeps the first fn. A nil Set ignores the call.
+func (s *Set) Func(name, help, typ string, fn func() float64, labels ...Label) {
+	if s == nil {
+		return
 	}
-	return in.h
+	if typ != "counter" && typ != "gauge" {
+		panic(fmt.Sprintf("metrics: func instrument %s has type %q, want counter or gauge", name, typ))
+	}
+	s.register(name, help, typ, labels, func(in *setInstrument) { in.fn = fn })
 }
 
 // Expose renders every family, in registration order, through t. A nil
@@ -343,18 +346,27 @@ func (s *Set) Expose(t *TextWriter) {
 	if s == nil {
 		return
 	}
+	// Copy the family list under the lock and render outside it, so Func
+	// callbacks, which read other components' state, never run under it.
+	// Instruments are individually allocated and never removed, and a
+	// copied family's insts header covers only slots already filled.
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, f := range s.families {
+	families := make([]family, len(s.families))
+	for i, f := range s.families {
+		families[i] = *f
+	}
+	s.mu.Unlock()
+	for _, f := range families {
 		t.Family(f.name, f.help, f.typ)
-		for i := range f.insts {
-			in := &f.insts[i]
-			switch f.typ {
-			case "counter":
+		for _, in := range f.insts {
+			switch {
+			case in.fn != nil:
+				t.Metric(f.name, in.fn(), in.labels...)
+			case in.c != nil:
 				t.Metric(f.name, float64(in.c.Value()), in.labels...)
-			case "gauge":
+			case in.g != nil:
 				t.Metric(f.name, float64(in.g.Value()), in.labels...)
-			case "histogram":
+			case in.h != nil:
 				WriteHistogram(t, f.name, in.h.Snapshot(), in.labels...)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -160,31 +161,6 @@ func TestHistogramClamp(t *testing.T) {
 	}
 }
 
-func TestHistSnapshotMerge(t *testing.T) {
-	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 5000; i++ {
-		d := time.Duration(rng.Int63n(int64(10 * time.Second)))
-		all.Observe(d)
-		if i%2 == 0 {
-			a.Observe(d)
-		} else {
-			b.Observe(d)
-		}
-	}
-	merged := a.Snapshot()
-	merged.Merge(b.Snapshot())
-	want := all.Snapshot()
-	if merged.Count != want.Count || merged.Sum != want.Sum {
-		t.Fatalf("merge count/sum = %d/%v, want %d/%v", merged.Count, merged.Sum, want.Count, want.Sum)
-	}
-	for i := range want.Buckets {
-		if merged.Buckets[i] != want.Buckets[i] {
-			t.Fatalf("merge bucket %d = %d, want %d", i, merged.Buckets[i], want.Buckets[i])
-		}
-	}
-}
-
 func TestSetFamilies(t *testing.T) {
 	s := NewSet()
 	c1 := s.Counter("hits_total", "Hits.", Label{"shard", "a"})
@@ -209,6 +185,89 @@ func TestSetFamilies(t *testing.T) {
 		}
 	}()
 	s.Gauge("hits_total", "oops")
+}
+
+// TestSetConcurrentRegistration races 64 goroutines registering the same
+// and distinct label sets of one family. Every caller asking for the same
+// name and labels must get the one instrument, and no registration may
+// land in a slot a concurrent append has moved away.
+func TestSetConcurrentRegistration(t *testing.T) {
+	const goroutines, labelsets = 64, 8
+	s := NewSet()
+	got := make([][labelsets]*Counter, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < labelsets; i++ {
+				// Each goroutine walks the label sets from a different
+				// offset, so first registrations and lookups interleave.
+				k := (g + i) % labelsets
+				c := s.Counter("race_total", "Race.", Label{"k", strconv.Itoa(k)})
+				c.Inc()
+				got[g][k] = c
+			}
+		}(g)
+	}
+	wg.Wait()
+	for k := 0; k < labelsets; k++ {
+		want := s.Counter("race_total", "Race.", Label{"k", strconv.Itoa(k)})
+		for g := range got {
+			if got[g][k] != want {
+				t.Fatalf("goroutine %d got a different counter for k=%d", g, k)
+			}
+		}
+		if want.Value() != goroutines {
+			t.Errorf("k=%d counted %d, want %d", k, want.Value(), goroutines)
+		}
+	}
+	var sb strings.Builder
+	s.Expose(NewTextWriter(&sb))
+	if n := strings.Count(sb.String(), "race_total{"); n != labelsets {
+		t.Errorf("exposed %d race_total samples, want %d:\n%s", n, labelsets, sb.String())
+	}
+}
+
+func TestSetFunc(t *testing.T) {
+	s := NewSet()
+	var hits uint64 = 3
+	ratio := 0.25
+	s.Func("cb_hits_total", "Hits.", "counter", func() float64 { return float64(hits) })
+	s.Func("cb_ratio", "Ratio.", "gauge", func() float64 { return ratio }, Label{"k", "v"})
+	// Re-registration keeps the first callback.
+	s.Func("cb_ratio", "Ratio.", "gauge", func() float64 { return -1 }, Label{"k", "v"})
+	hits, ratio = 7, 0.5 // read at scrape time, not registration time
+
+	var sb strings.Builder
+	s.Expose(NewTextWriter(&sb))
+	for _, want := range []string{
+		"# TYPE cb_hits_total counter",
+		"cb_hits_total 7",
+		"# TYPE cb_ratio gauge",
+		`cb_ratio{k="v"} 0.5`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, sb.String())
+		}
+	}
+
+	var nilSet *Set
+	nilSet.Func("x", "", "gauge", func() float64 { return 1 })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a func instrument of type histogram must panic")
+			}
+		}()
+		s.Func("cb_hist", "", "histogram", func() float64 { return 1 })
+	}()
+	defer func() {
+		if recover() == nil {
+			t.Error("a func on a family of another type must panic")
+		}
+	}()
+	s.Func("cb_hits_total", "", "gauge", func() float64 { return 1 })
 }
 
 func TestSetExpose(t *testing.T) {

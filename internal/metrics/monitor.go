@@ -1,17 +1,17 @@
 // Package metrics implements the rich SDK's service-monitoring substrate:
 // it collects data on service performance (latency), availability, and
-// response quality, keeps latency histories for distribution comparison,
-// and records latency as a function of user-supplied latency parameters so
-// that invocation latency can be predicted (paper §2).
+// response quality, and keeps every service's full latency distribution so
+// that users can compare distributions (paper §2). There is one instrument
+// model — lock-free counters, gauges, and log-linear histograms, grouped
+// into labelled families by a Set (instruments.go) and rendered in the
+// Prometheus text format (expfmt.go). A per-service Monitor is a bundle of
+// those instruments.
 package metrics
 
 import (
-	"math/rand"
-	"sync"
+	"math"
+	"sync/atomic"
 	"time"
-
-	"repro/internal/clock"
-	"repro/internal/stats"
 )
 
 // Observation is one completed service invocation.
@@ -20,15 +20,10 @@ type Observation struct {
 	Latency time.Duration
 	// Err is the invocation error, nil on success.
 	Err error
-	// Params are the latency parameters for this invocation (for example
-	// the size of an argument passed to the service). May be nil.
-	Params []float64
 	// Attempts is how many transport attempts the invocation made; values
 	// below 1 count as a single attempt. Attempts beyond the first
 	// accumulate in the monitor's retry counter.
 	Attempts int
-	// At is when the invocation completed. Zero means "now".
-	At time.Time
 }
 
 // Snapshot is a point-in-time summary of a monitor's collected data.
@@ -39,353 +34,137 @@ type Snapshot struct {
 	Retries      uint64  // transport attempts beyond each invocation's first
 	Availability float64 // successes / total, 1 when no data
 	MeanLatency  time.Duration
-	EWMALatency  time.Duration
 	P50Latency   time.Duration
 	P95Latency   time.Duration
 	P99Latency   time.Duration
-	MinLatency   time.Duration
-	MaxLatency   time.Duration
 	MeanQuality  float64 // 0 when never rated
 	QualityCount uint64
 }
 
-// Monitor collects observations for a single service. It is safe for
-// concurrent use.
+// Monitor collects observations for a single service: invocation,
+// failure, retry, and quality-rating counters, a histogram of successful
+// calls' latency, and a running sum of quality ratings. Every update is
+// an atomic operation, so Record and RecordQuality take no lock and
+// allocate nothing. It is safe for concurrent use.
 type Monitor struct {
-	name string
-
-	// hist holds the full latency distribution of successful invocations
-	// in log-linear buckets. It is lock-free and unsampled: Snapshot
-	// quantiles read from it, while the sampled reservoir below remains
-	// the distribution-comparison API (LatencyHistory/PercentileLatency).
-	hist *Histogram
-
-	mu           sync.Mutex
-	clk          clock.Clock
-	history      *stats.Reservoir // latency sample in milliseconds
-	ewma         *stats.EWMA      // smoothed latency in milliseconds
-	count        uint64
-	failures     uint64
-	retries      uint64
-	sumLatencyMS float64
-	minMS        float64
-	maxMS        float64
-
-	qualitySum   float64
-	qualityCount uint64
-
-	// Parameterized latency records: params[i] produced latencyMS[i].
-	paramObs   [][]float64
-	paramLatMS []float64
-	maxParam   int // bound on retained parameterized observations
-
-	recent []timedObs // bounded ring of recent observations for windows
-	rpos   int
+	name        string
+	invocations *Counter
+	failures    *Counter
+	retries     *Counter
+	ratings     *Counter
+	latency     *Histogram // successful invocations only
+	qualitySum  atomic.Uint64
 }
 
-type timedObs struct {
-	at    time.Time
-	latMS float64
-	ok    bool
-}
-
-const (
-	defaultHistorySize = 2048
-	defaultRecentSize  = 4096
-	defaultMaxParamObs = 8192
-	defaultEWMAAlpha   = 0.2
-)
-
-// Option configures a Monitor.
-type Option func(*Monitor)
-
-// WithClock sets the clock used to timestamp observations.
-func WithClock(c clock.Clock) Option { return func(m *Monitor) { m.clk = c } }
-
-// WithHistorySize bounds the retained latency sample.
-func WithHistorySize(n int) Option {
-	return func(m *Monitor) {
-		if n > 0 {
-			m.history = stats.NewReservoir(n, rand.New(rand.NewSource(int64(n))).Float64)
-		}
+// NewMonitor returns a standalone Monitor for the named service, whose
+// instruments belong to no Set. Registry.Monitor returns one whose
+// instruments render on /metrics.
+func NewMonitor(name string) *Monitor {
+	return &Monitor{
+		name:        name,
+		invocations: NewCounter(),
+		failures:    NewCounter(),
+		retries:     NewCounter(),
+		ratings:     NewCounter(),
+		latency:     NewHistogram(),
 	}
-}
-
-// WithEWMAAlpha sets the smoothing factor for the exponentially weighted
-// latency average.
-func WithEWMAAlpha(alpha float64) Option {
-	return func(m *Monitor) { m.ewma = stats.NewEWMA(alpha) }
-}
-
-// WithMaxParamObservations bounds the number of retained parameterized
-// latency observations.
-func WithMaxParamObservations(n int) Option {
-	return func(m *Monitor) {
-		if n > 0 {
-			m.maxParam = n
-		}
-	}
-}
-
-// WithRecentSize bounds the ring of timestamped recent observations that
-// backs WindowAvailability. The ring's capacity and the query window
-// interact: WindowAvailability(d) only sees observations that are both
-// newer than d and among the last n recorded, so a ring smaller than the
-// observation rate times d silently narrows the effective window. Size the
-// ring for the longest window queried at the peak recording rate; the
-// default is 4096 observations.
-func WithRecentSize(n int) Option {
-	return func(m *Monitor) {
-		if n > 0 {
-			m.recent = make([]timedObs, 0, n)
-		}
-	}
-}
-
-// NewMonitor returns a Monitor for the named service.
-func NewMonitor(name string, opts ...Option) *Monitor {
-	m := &Monitor{
-		name:     name,
-		hist:     NewHistogram(),
-		clk:      clock.Real(),
-		history:  stats.NewReservoir(defaultHistorySize, rand.New(rand.NewSource(1)).Float64),
-		ewma:     stats.NewEWMA(defaultEWMAAlpha),
-		maxParam: defaultMaxParamObs,
-		recent:   make([]timedObs, 0, defaultRecentSize),
-	}
-	for _, o := range opts {
-		o(m)
-	}
-	return m
 }
 
 // Name returns the monitored service's name.
 func (m *Monitor) Name() string { return m.name }
 
-// Record folds an observation into the monitor.
+// Record folds an observation into the monitor. The invocation is counted
+// before its failure, so a reader that loads failures first never sees
+// more failures than invocations.
 func (m *Monitor) Record(o Observation) {
-	ms := float64(o.Latency) / float64(time.Millisecond)
-	at := o.At
-	if at.IsZero() {
-		at = m.clk.Now()
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.count++
+	m.invocations.Inc()
 	if o.Attempts > 1 {
-		m.retries += uint64(o.Attempts - 1)
+		m.retries.Add(uint64(o.Attempts - 1))
 	}
 	if o.Err != nil {
-		m.failures++
-	} else {
-		// Latency statistics track successful invocations only: a fast
-		// failure says nothing about how long a successful call takes.
-		m.hist.Observe(o.Latency)
-		m.history.Observe(ms)
-		m.ewma.Observe(ms)
-		m.sumLatencyMS += ms
-		if m.count-m.failures == 1 || ms < m.minMS {
-			m.minMS = ms
-		}
-		if ms > m.maxMS {
-			m.maxMS = ms
-		}
-		if len(o.Params) > 0 && len(m.paramObs) < m.maxParam {
-			cp := make([]float64, len(o.Params))
-			copy(cp, o.Params)
-			m.paramObs = append(m.paramObs, cp)
-			m.paramLatMS = append(m.paramLatMS, ms)
-		}
+		m.failures.Inc()
+		return
 	}
-	obs := timedObs{at: at, latMS: ms, ok: o.Err == nil}
-	if len(m.recent) < cap(m.recent) {
-		m.recent = append(m.recent, obs)
-	} else {
-		m.recent[m.rpos] = obs
-		m.rpos = (m.rpos + 1) % len(m.recent)
-	}
+	// Latency statistics track successful invocations only: a fast
+	// failure says nothing about how long a successful call takes.
+	m.latency.Observe(o.Latency)
 }
 
 // RecordQuality folds a user-supplied quality rating for this service.
 // Higher values indicate higher quality (paper §2: "users can provide
 // methods to rate the quality of different services").
 func (m *Monitor) RecordQuality(q float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.qualitySum += q
-	m.qualityCount++
+	for {
+		old := m.qualitySum.Load()
+		if m.qualitySum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+q)) {
+			break
+		}
+	}
+	m.ratings.Inc()
 }
 
 // Count returns the total number of recorded invocations.
-func (m *Monitor) Count() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.count
-}
+func (m *Monitor) Count() uint64 { return m.invocations.Value() }
 
 // Retries returns the total number of transport attempts beyond each
 // invocation's first — how much retrying the failure handler has done on
 // this service's behalf.
-func (m *Monitor) Retries() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.retries
-}
+func (m *Monitor) Retries() uint64 { return m.retries.Value() }
 
 // Availability returns the fraction of recorded invocations that succeeded,
 // or 1 if nothing has been recorded (optimistic default: an unknown service
 // is assumed healthy until observed otherwise).
 func (m *Monitor) Availability() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.count == 0 {
+	failures := m.failures.Value()
+	return availability(m.invocations.Value(), failures)
+}
+
+func availability(count, failures uint64) float64 {
+	if count == 0 {
 		return 1
 	}
-	return float64(m.count-m.failures) / float64(m.count)
+	return float64(count-failures) / float64(count)
 }
 
 // MeanLatency returns the mean latency of successful invocations, or 0 with
-// no data.
+// no data. It reads two counters and the histogram's sum, not the
+// buckets, so it is cheap enough for per-call latency prediction.
 func (m *Monitor) MeanLatency() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	succ := m.count - m.failures
+	failures := m.failures.Value()
+	succ := m.invocations.Value() - failures
 	if succ == 0 {
 		return 0
 	}
-	return time.Duration(m.sumLatencyMS / float64(succ) * float64(time.Millisecond))
-}
-
-// EWMALatency returns the exponentially weighted latency average, or 0 with
-// no data.
-func (m *Monitor) EWMALatency() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.ewma.Initialized() {
-		return 0
-	}
-	return time.Duration(m.ewma.Value() * float64(time.Millisecond))
-}
-
-// PercentileLatency returns the p-th latency percentile (0-100) from the
-// retained history, or 0 with no data.
-func (m *Monitor) PercentileLatency(p float64) time.Duration {
-	m.mu.Lock()
-	sample := m.history.Sample()
-	m.mu.Unlock()
-	v, err := stats.Percentile(sample, p)
-	if err != nil {
-		return 0
-	}
-	return time.Duration(v * float64(time.Millisecond))
+	return time.Duration(m.latency.sum.Load()) / time.Duration(succ)
 }
 
 // MeanQuality returns the mean recorded quality rating and how many ratings
 // back it. A zero count means the service has never been rated.
 func (m *Monitor) MeanQuality() (mean float64, count uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.qualityCount == 0 {
+	count = m.ratings.Value()
+	if count == 0 {
 		return 0, 0
 	}
-	return m.qualitySum / float64(m.qualityCount), m.qualityCount
+	return math.Float64frombits(m.qualitySum.Load()) / float64(count), count
 }
 
-// LatencyHistory returns the retained latency sample in milliseconds. The
-// paper's SDK "maintains histories of latencies allowing users to compare
-// latency distributions".
-func (m *Monitor) LatencyHistory() []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.history.Sample()
-}
-
-// ParamObservations returns the recorded (latency parameters, latency in
-// milliseconds) pairs for latency prediction. The returned slices are
-// copies.
-func (m *Monitor) ParamObservations() (params [][]float64, latencyMS []float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	params = make([][]float64, len(m.paramObs))
-	for i, p := range m.paramObs {
-		cp := make([]float64, len(p))
-		copy(cp, p)
-		params[i] = cp
-	}
-	latencyMS = make([]float64, len(m.paramLatMS))
-	copy(latencyMS, m.paramLatMS)
-	return params, latencyMS
-}
-
-// WindowAvailability returns the success fraction over observations made in
-// the trailing window d, or 1 if the window holds no observations.
-func (m *Monitor) WindowAvailability(d time.Duration) float64 {
-	cutoff := m.clk.Now().Add(-d)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var total, ok int
-	for _, o := range m.recent {
-		if o.at.Before(cutoff) {
-			continue
-		}
-		total++
-		if o.ok {
-			ok++
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(ok) / float64(total)
-}
-
-// LatencyDistribution returns the full bucketed latency distribution of
-// successful invocations. Snapshots share a global bucket layout, so
-// distributions from different monitors can be rolled up with Merge.
-func (m *Monitor) LatencyDistribution() HistSnapshot {
-	return m.hist.Snapshot()
-}
-
-// Snapshot returns a point-in-time summary.
-//
-// P50/P95/P99 are exact bucketed quantiles over every successful
-// invocation, read from the monitor's lock-free histogram: each is the
-// upper bound of the log-linear bucket (width ≤ 6.25% of the value)
-// holding that rank, with no sampling error. Earlier versions
-// interpolated them from the sampled reservoir, which could drift once
-// the observation count exceeded the reservoir size; the reservoir now
-// backs only the distribution-comparison API (LatencyHistory,
-// PercentileLatency).
+// Snapshot returns a point-in-time summary. MeanLatency is the latency
+// histogram's exact Sum/Count; P50/P95/P99 are exact bucketed quantiles
+// over every successful invocation — each the upper bound of the
+// log-linear bucket (width ≤ 6.25% of the value) holding that rank, with
+// no sampling error.
 func (m *Monitor) Snapshot() Snapshot {
-	m.mu.Lock()
+	failures := m.failures.Value()
 	s := Snapshot{
-		Name:         m.name,
-		Count:        m.count,
-		Failures:     m.failures,
-		Retries:      m.retries,
-		MinLatency:   time.Duration(m.minMS * float64(time.Millisecond)),
-		MaxLatency:   time.Duration(m.maxMS * float64(time.Millisecond)),
-		QualityCount: m.qualityCount,
+		Name:     m.name,
+		Count:    m.invocations.Value(),
+		Failures: failures,
+		Retries:  m.retries.Value(),
 	}
-	if m.count > 0 {
-		s.Availability = float64(m.count-m.failures) / float64(m.count)
-	} else {
-		s.Availability = 1
-	}
-	if succ := m.count - m.failures; succ > 0 {
-		s.MeanLatency = time.Duration(m.sumLatencyMS / float64(succ) * float64(time.Millisecond))
-	}
-	if m.ewma.Initialized() {
-		s.EWMALatency = time.Duration(m.ewma.Value() * float64(time.Millisecond))
-	}
-	if m.qualityCount > 0 {
-		s.MeanQuality = m.qualitySum / float64(m.qualityCount)
-	}
-	m.mu.Unlock()
-
-	// Quantiles come from the bucketed histogram — exact rank selection
-	// over all observations, not the sampled reservoir.
-	hs := m.hist.Snapshot()
+	s.Availability = availability(s.Count, failures)
+	s.MeanQuality, s.QualityCount = m.MeanQuality()
+	hs := m.latency.Snapshot()
+	s.MeanLatency = hs.Mean()
 	s.P50Latency = hs.Quantile(0.50)
 	s.P95Latency = hs.Quantile(0.95)
 	s.P99Latency = hs.Quantile(0.99)

@@ -2,14 +2,21 @@ package metrics
 
 import (
 	"errors"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/clock"
 )
 
 var errBoom = errors.New("boom")
+
+// withinBucket reports whether got is want rounded up to its histogram
+// bucket: quantiles are bucket upper bounds, at most 6.25% above the
+// value.
+func withinBucket(got, want time.Duration) bool {
+	return got >= want && float64(got) <= float64(want)*(1+1.0/histSubCount)
+}
 
 func TestMonitorBasicStats(t *testing.T) {
 	m := NewMonitor("svc")
@@ -25,8 +32,8 @@ func TestMonitorBasicStats(t *testing.T) {
 	if got := m.MeanLatency(); got != 20*time.Millisecond {
 		t.Errorf("MeanLatency = %v, want 20ms", got)
 	}
-	if got := m.PercentileLatency(50); got != 20*time.Millisecond {
-		t.Errorf("P50 = %v, want 20ms", got)
+	if got := m.Snapshot().P50Latency; !withinBucket(got, 20*time.Millisecond) {
+		t.Errorf("P50 = %v, want 20ms up to bucket width", got)
 	}
 }
 
@@ -49,11 +56,9 @@ func TestMonitorEmptyDefaults(t *testing.T) {
 	if got := m.MeanLatency(); got != 0 {
 		t.Errorf("empty MeanLatency = %v, want 0", got)
 	}
-	if got := m.EWMALatency(); got != 0 {
-		t.Errorf("empty EWMALatency = %v, want 0", got)
-	}
-	if got := m.PercentileLatency(99); got != 0 {
-		t.Errorf("empty PercentileLatency = %v, want 0", got)
+	s := m.Snapshot()
+	if s.MeanLatency != 0 || s.P50Latency != 0 || s.P99Latency != 0 {
+		t.Errorf("empty snapshot latencies = %v/%v/%v, want 0", s.MeanLatency, s.P50Latency, s.P99Latency)
 	}
 	if mean, n := m.MeanQuality(); mean != 0 || n != 0 {
 		t.Errorf("empty MeanQuality = (%v, %d), want (0, 0)", mean, n)
@@ -68,6 +73,9 @@ func TestMonitorFailuresExcludedFromLatency(t *testing.T) {
 	if got := m.MeanLatency(); got != 10*time.Millisecond {
 		t.Errorf("MeanLatency = %v, want 10ms (failure excluded)", got)
 	}
+	if got := m.Snapshot().P99Latency; !withinBucket(got, 10*time.Millisecond) {
+		t.Errorf("P99 = %v, want 10ms up to bucket width (failure excluded)", got)
+	}
 }
 
 func TestMonitorQuality(t *testing.T) {
@@ -77,90 +85,6 @@ func TestMonitorQuality(t *testing.T) {
 	mean, n := m.MeanQuality()
 	if n != 2 || mean != 0.7 {
 		t.Errorf("MeanQuality = (%v, %d), want (0.7, 2)", mean, n)
-	}
-}
-
-func TestMonitorParamObservations(t *testing.T) {
-	m := NewMonitor("svc")
-	m.Record(Observation{Latency: 5 * time.Millisecond, Params: []float64{1024}})
-	m.Record(Observation{Latency: 10 * time.Millisecond, Params: []float64{2048}})
-	m.Record(Observation{Latency: time.Millisecond, Err: errBoom, Params: []float64{4096}}) // failed: excluded
-	params, lats := m.ParamObservations()
-	if len(params) != 2 || len(lats) != 2 {
-		t.Fatalf("got %d param observations, want 2", len(params))
-	}
-	if params[0][0] != 1024 || lats[0] != 5 {
-		t.Errorf("first observation = (%v, %v), want ([1024], 5)", params[0], lats[0])
-	}
-	// Returned slices must be copies.
-	params[0][0] = -1
-	p2, _ := m.ParamObservations()
-	if p2[0][0] != 1024 {
-		t.Error("ParamObservations returned a shared slice")
-	}
-}
-
-func TestMonitorParamObservationsBounded(t *testing.T) {
-	m := NewMonitor("svc", WithMaxParamObservations(3))
-	for i := 0; i < 10; i++ {
-		m.Record(Observation{Latency: time.Millisecond, Params: []float64{float64(i)}})
-	}
-	params, _ := m.ParamObservations()
-	if len(params) != 3 {
-		t.Errorf("retained %d param observations, want 3", len(params))
-	}
-}
-
-func TestMonitorParamsCopiedOnRecord(t *testing.T) {
-	m := NewMonitor("svc")
-	p := []float64{7}
-	m.Record(Observation{Latency: time.Millisecond, Params: p})
-	p[0] = 99
-	params, _ := m.ParamObservations()
-	if params[0][0] != 7 {
-		t.Error("Record aliased caller's params slice")
-	}
-}
-
-func TestWindowAvailability(t *testing.T) {
-	v := clock.NewVirtual(time.Unix(1000, 0))
-	m := NewMonitor("svc", WithClock(v))
-	m.Record(Observation{Latency: time.Millisecond, Err: errBoom})
-	v.Advance(time.Hour)
-	m.Record(Observation{Latency: time.Millisecond})
-	m.Record(Observation{Latency: time.Millisecond})
-	// Window covering only the recent successes.
-	if got := m.WindowAvailability(30 * time.Minute); got != 1 {
-		t.Errorf("WindowAvailability(30m) = %v, want 1", got)
-	}
-	// Window covering everything.
-	if got := m.WindowAvailability(2 * time.Hour); got != 2.0/3.0 {
-		t.Errorf("WindowAvailability(2h) = %v, want 2/3", got)
-	}
-	// Window covering nothing is optimistic.
-	v.Advance(24 * time.Hour)
-	if got := m.WindowAvailability(time.Minute); got != 1 {
-		t.Errorf("empty WindowAvailability = %v, want 1", got)
-	}
-}
-
-func TestWithRecentSize(t *testing.T) {
-	v := clock.NewVirtual(time.Unix(1000, 0))
-	m := NewMonitor("svc", WithClock(v), WithRecentSize(2))
-	// An old failure followed by enough successes to push it out of the
-	// 2-slot ring: the window query can no longer see it even though the
-	// time window covers it.
-	m.Record(Observation{Latency: time.Millisecond, Err: errBoom})
-	m.Record(Observation{Latency: time.Millisecond})
-	m.Record(Observation{Latency: time.Millisecond})
-	if got := m.WindowAvailability(time.Hour); got != 1 {
-		t.Errorf("WindowAvailability = %v, want 1 after failure evicted", got)
-	}
-
-	// Non-positive sizes keep the default.
-	d := NewMonitor("svc", WithRecentSize(0))
-	if cap(d.recent) != defaultRecentSize {
-		t.Errorf("WithRecentSize(0) capacity = %d, want default %d", cap(d.recent), defaultRecentSize)
 	}
 }
 
@@ -177,8 +101,11 @@ func TestSnapshot(t *testing.T) {
 	if s.MeanLatency != 20*time.Millisecond {
 		t.Errorf("MeanLatency = %v, want 20ms", s.MeanLatency)
 	}
-	if s.MinLatency != 10*time.Millisecond || s.MaxLatency != 30*time.Millisecond {
-		t.Errorf("Min/Max = %v/%v, want 10ms/30ms", s.MinLatency, s.MaxLatency)
+	// The extremes of the latency distribution are its 0th and 100th
+	// quantiles.
+	hs := m.latency.Snapshot()
+	if lo, hi := hs.Quantile(0), hs.Quantile(1); !withinBucket(lo, 10*time.Millisecond) || !withinBucket(hi, 30*time.Millisecond) {
+		t.Errorf("Min/Max = %v/%v, want 10ms/30ms up to bucket width", lo, hi)
 	}
 	if s.Availability < 0.66 || s.Availability > 0.67 {
 		t.Errorf("Availability = %v, want ~0.667", s.Availability)
@@ -203,9 +130,11 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 				if i%10 == 0 {
 					err = errBoom
 				}
-				m.Record(Observation{Latency: time.Duration(i) * time.Microsecond, Err: err, Params: []float64{float64(i)}})
+				m.Record(Observation{Latency: time.Duration(i) * time.Microsecond, Err: err})
 				m.RecordQuality(0.5)
-				_ = m.Availability()
+				if a := m.Availability(); a < 0 || a > 1 {
+					t.Errorf("Availability = %v outside [0, 1]", a)
+				}
 				_ = m.Snapshot()
 			}
 		}(g)
@@ -214,10 +143,58 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 	if got := m.Count(); got != 4000 {
 		t.Errorf("Count = %d, want 4000", got)
 	}
+	if mean, n := m.MeanQuality(); n != 4000 || mean != 0.5 {
+		t.Errorf("MeanQuality = (%v, %d), want (0.5, 4000)", mean, n)
+	}
+}
+
+// TestMonitorAllocs pins the cost of the bundle: recording is a handful of
+// atomic operations with no allocation, and a monitor is one histogram and
+// four counters — a few KiB, whether standalone or registered in a Set.
+func TestMonitorAllocs(t *testing.T) {
+	m := NewMonitor("svc")
+	obs := Observation{Latency: time.Millisecond, Attempts: 2}
+	fail := Observation{Latency: time.Millisecond, Err: errBoom}
+	if n := testing.AllocsPerRun(1000, func() { m.Record(obs); m.Record(fail) }); n != 0 {
+		t.Errorf("Record allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { m.RecordQuality(0.5) }); n != 0 {
+		t.Errorf("RecordQuality allocates %v times per call, want 0", n)
+	}
+
+	const n, budget = 64, 8 << 10
+	reg := NewRegistry(NewSet(), "richsdk_service", "service")
+	names := make([]string, n)
+	for i := range names {
+		names[i] = "svc-" + strconv.Itoa(i)
+	}
+	keep := make([]*Monitor, 0, 2*n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		keep = append(keep, NewMonitor(names[i]))
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("NewMonitor: %d B", per)
+	if per > budget {
+		t.Errorf("NewMonitor allocates %d B, want <= %d", per, budget)
+	}
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		keep = append(keep, reg.Monitor(names[i]))
+	}
+	runtime.ReadMemStats(&after)
+	per = (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("Registry.Monitor: %d B", per)
+	if per > budget {
+		t.Errorf("Registry.Monitor allocates %d B per new monitor, want <= %d", per, budget)
+	}
+	runtime.KeepAlive(keep)
 }
 
 func TestRegistryLazyAndStable(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil, "richsdk_service", "service")
 	a := r.Monitor("a")
 	if a2 := r.Monitor("a"); a2 != a {
 		t.Error("Monitor returned a different instance for the same name")
@@ -230,7 +207,7 @@ func TestRegistryLazyAndStable(t *testing.T) {
 }
 
 func TestRegistrySnapshots(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil, "richsdk_service", "service")
 	r.Monitor("z").Record(Observation{Latency: time.Millisecond})
 	r.Monitor("a").Record(Observation{Latency: 2 * time.Millisecond})
 	snaps := r.Snapshots()
@@ -240,7 +217,8 @@ func TestRegistrySnapshots(t *testing.T) {
 }
 
 func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
+	set := NewSet()
+	r := NewRegistry(set, "richsdk_service", "service")
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -262,6 +240,13 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if total != 3200 {
 		t.Errorf("total observations = %d, want 3200", total)
+	}
+	// Every monitor's counter is the Set's counter for its label.
+	for _, n := range r.Names() {
+		c := set.Counter("richsdk_service_invocations_total", "", Label{"service", n})
+		if c.Value() != r.Monitor(n).Count() {
+			t.Errorf("%s: Set counter %d != monitor count %d", n, c.Value(), r.Monitor(n).Count())
+		}
 	}
 }
 

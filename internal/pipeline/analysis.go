@@ -11,7 +11,6 @@ import (
 	"repro/internal/aggregate"
 	"repro/internal/core"
 	"repro/internal/docstore"
-	"repro/internal/metrics"
 	"repro/internal/nlu"
 	"repro/internal/search"
 	"repro/internal/service"
@@ -75,9 +74,6 @@ type AnalysisConfig struct {
 	// sentiment after the stream drains — the pipeline's knowledge-base
 	// sink (kb.StoreWebSentiments turns them into RDF facts).
 	Sentiments func(ctx context.Context, sentiments []aggregate.EntitySentiment) error
-	// Metrics, when non-nil, receives per-stage latency monitors in
-	// place of the pipeline's private registry.
-	Metrics *metrics.Registry
 	// Tracer, when non-nil, traces the run: a root span per Run/RunDocs
 	// with one child span per stage per item, and the SDK invocations the
 	// stages make nested inside them. Nil falls back to the Client's
@@ -199,7 +195,7 @@ func (cfg AnalysisConfig) Run(ctx context.Context, query string) (*AnalysisResul
 	root.SetAttr("query", query)
 	defer root.End()
 
-	p := cfg.newPipeline(ctx)
+	p := New(ctx)
 	hits := 0
 	// Stage 1 — search: one SDK invocation, fanned out into a stream of
 	// (rank, result) items.
@@ -287,7 +283,7 @@ func (cfg AnalysisConfig) RunDocs(ctx context.Context, label string, docs []docs
 	ctx, root := cfg.tracer().Start(ctx, "analysis")
 	root.SetAttr("query", label)
 	defer root.End()
-	p := cfg.newPipeline(ctx)
+	p := New(ctx)
 	items := make([]indexed[docstore.SavedDoc], len(docs))
 	for i, d := range docs {
 		items[i] = indexed[docstore.SavedDoc]{i, d}
@@ -301,14 +297,6 @@ func (cfg AnalysisConfig) RunDocs(ctx context.Context, label string, docs []docs
 	}
 	res.TraceID = root.TraceID()
 	return res, nil
-}
-
-func (cfg *AnalysisConfig) newPipeline(ctx context.Context) *Pipeline {
-	var opts []Option
-	if cfg.Metrics != nil {
-		opts = append(opts, WithMetrics(cfg.Metrics))
-	}
-	return New(ctx, opts...)
 }
 
 // finish wires the shared tail — analyze, aggregate, persist, sink — onto

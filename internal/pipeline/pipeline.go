@@ -2,7 +2,7 @@
 // stages connected by bounded channels, with a configurable number of
 // fan-out workers per stage (backed by internal/future's bounded pools),
 // context cancellation, per-stage error policy (skip, retry, abort),
-// natural backpressure, and per-stage counters plus latency summaries fed
+// natural backpressure, and per-stage counters plus latency histograms fed
 // into internal/metrics.
 //
 // The engine exists for the paper's core workload — the Fig. 3/5 loop
@@ -73,17 +73,6 @@ type Stage[In, Out any] struct {
 // Option configures a Pipeline.
 type Option func(*Pipeline)
 
-// WithMetrics directs per-stage latency observations into reg (stage name
-// → monitor). By default each pipeline records into a private registry
-// exposed via Metrics().
-func WithMetrics(reg *metrics.Registry) Option {
-	return func(p *Pipeline) {
-		if reg != nil {
-			p.metrics = reg
-		}
-	}
-}
-
 // WithClock sets the clock used for latency measurement. Nil means the
 // real clock.
 func WithClock(clk clock.Clock) Option {
@@ -94,13 +83,17 @@ func WithClock(clk clock.Clock) Option {
 	}
 }
 
-// WithInstruments registers per-stage in-flight and queue-depth gauges
-// in set, labelled stage="<name>", for every Via stage: in-flight is how
-// many items the stage has dispatched to workers but not yet collected,
-// queue depth how many completed-or-running result futures sit in its
-// ordering channel. Stage names are reused across pipeline runs sharing
-// one set (registration is idempotent), so long-lived servers see the
-// live occupancy of the current run. A nil set is ignored.
+// WithInstruments registers the pipeline's per-stage families in set,
+// labelled stage="<name>": each stage's monitor (richsdk_pipeline_stage_*
+// invocation, failure, and latency families, as the SDK client keeps per
+// service) and, for every Via stage, in-flight and queue-depth gauges.
+// In-flight is how many items the stage has dispatched to workers but not
+// yet collected, queue depth how many completed-or-running result futures
+// sit in its ordering channel. Stage names are reused across pipeline runs
+// sharing one set (registration is idempotent), so long-lived servers see
+// cumulative stage monitors and the live occupancy of the current run.
+// Without a set, the monitors live in a private one and the gauges are
+// inert.
 func WithInstruments(set *metrics.Set) Option {
 	return func(p *Pipeline) { p.set = set }
 }
@@ -109,12 +102,12 @@ func WithInstruments(set *metrics.Set) Option {
 // stages with Source / Via / Drain / Collect, then Wait for completion.
 // A Pipeline is single-use.
 type Pipeline struct {
-	ctx     context.Context
-	cancel  context.CancelCauseFunc
-	clk     clock.Clock
-	metrics *metrics.Registry
-	set     *metrics.Set // optional instrument set for per-stage gauges
-	wg      sync.WaitGroup
+	ctx      context.Context
+	cancel   context.CancelCauseFunc
+	clk      clock.Clock
+	set      *metrics.Set      // optional instrument set for per-stage gauges
+	monitors *metrics.Registry // per-stage monitors, in set when given
+	wg       sync.WaitGroup
 
 	mu      sync.Mutex
 	stages  []*counters
@@ -129,14 +122,14 @@ const maxSkippedErrors = 32
 func New(ctx context.Context, opts ...Option) *Pipeline {
 	runCtx, cancel := context.WithCancelCause(ctx)
 	p := &Pipeline{
-		ctx:     runCtx,
-		cancel:  cancel,
-		clk:     clock.Real(),
-		metrics: metrics.NewRegistry(),
+		ctx:    runCtx,
+		cancel: cancel,
+		clk:    clock.Real(),
 	}
 	for _, o := range opts {
 		o(p)
 	}
+	p.monitors = metrics.NewRegistry(p.set, "richsdk_pipeline_stage", "stage")
 	return p
 }
 
@@ -156,9 +149,6 @@ func (p *Pipeline) Wait() error {
 	}
 	return context.Canceled
 }
-
-// Metrics returns the registry holding each stage's latency monitor.
-func (p *Pipeline) Metrics() *metrics.Registry { return p.metrics }
 
 // SkippedErrors returns the errors behind skipped items (bounded; the
 // per-stage counts in Stats are exact).
@@ -190,7 +180,8 @@ type StageStats struct {
 	Skipped int64 // items dropped by the Skip policy
 	Retries int64 // extra attempts made by the retry policy
 	// Latency summarizes per-item processing time (successful attempts);
-	// Failures counts failed attempts. Both come from the stage monitor.
+	// Failures counts failed attempts. Both come from the stage monitor,
+	// so they accumulate across runs sharing one WithInstruments set.
 	Mean     time.Duration
 	P95      time.Duration
 	Failures uint64
@@ -204,7 +195,7 @@ func (p *Pipeline) Stats() []StageStats {
 	p.mu.Unlock()
 	out := make([]StageStats, 0, len(stages))
 	for _, c := range stages {
-		snap := p.metrics.Monitor(c.name).Snapshot()
+		snap := p.monitors.Monitor(c.name).Snapshot()
 		out = append(out, StageStats{
 			Name:     c.name,
 			In:       c.in.Load(),
@@ -308,7 +299,7 @@ func Via[In, Out any](f *Flow[In], s Stage[In, Out]) *Flow[Out] {
 		buffer = workers
 	}
 	c := p.newCounters(s.Name)
-	mon := p.metrics.Monitor(s.Name)
+	mon := p.monitors.Monitor(s.Name)
 	// Nil when the pipeline has no instrument set: every update below is
 	// then an inert nil-receiver call.
 	inflightG := p.set.Gauge("richsdk_pipeline_stage_inflight",
@@ -426,7 +417,7 @@ func runItem[In, Out any](p *Pipeline, s Stage[In, Out], c *counters, mon *metri
 func Drain[T any](f *Flow[T], name string, fn func(ctx context.Context, item T) error) {
 	p := f.p
 	c := p.newCounters(name)
-	mon := p.metrics.Monitor(name)
+	mon := p.monitors.Monitor(name)
 	parent := trace.SpanFromContext(p.ctx)
 	p.wg.Add(1)
 	go func() {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // intRange returns [0, n).
@@ -306,7 +308,8 @@ func TestDrainErrorAborts(t *testing.T) {
 }
 
 func TestStatsAndMetrics(t *testing.T) {
-	p := New(context.Background())
+	set := metrics.NewSet()
+	p := New(context.Background(), WithInstruments(set))
 	flow := Source(p, "src", intRange(25))
 	stage := Via(flow, Stage[int, int]{
 		Name:    "work",
@@ -338,8 +341,9 @@ func TestStatsAndMetrics(t *testing.T) {
 	if work.Mean <= 0 {
 		t.Error("work stage recorded no latency")
 	}
-	// The stage monitor is reachable through the pipeline's registry.
-	if got := p.Metrics().Monitor("work").Count(); got != 25 {
+	// The stage monitor is reachable through the pipeline's Set.
+	mon := set.Counter("richsdk_pipeline_stage_invocations_total", "", metrics.Label{Name: "stage", Value: "work"})
+	if got := mon.Value(); got != 25 {
 		t.Errorf("monitor count = %d, want 25", got)
 	}
 }

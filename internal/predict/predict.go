@@ -10,7 +10,6 @@ package predict
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -97,22 +96,6 @@ func (p *Predictor) Observe(params []float64, lat time.Duration) {
 	p.params = append(p.params, cp)
 	p.latMS = append(p.latMS, float64(lat)/float64(time.Millisecond))
 	p.dirty = true
-}
-
-// ObserveAll bulk-loads observations, typically from a metrics monitor's
-// ParamObservations.
-func (p *Predictor) ObserveAll(params [][]float64, latencyMS []float64) error {
-	if len(params) != len(latencyMS) {
-		return fmt.Errorf("predict: length mismatch %d != %d", len(params), len(latencyMS))
-	}
-	for i := range params {
-		cp := make([]float64, len(params[i]))
-		copy(cp, params[i])
-		p.params = append(p.params, cp)
-		p.latMS = append(p.latMS, latencyMS[i])
-	}
-	p.dirty = true
-	return nil
 }
 
 // Len returns the number of recorded observations.

@@ -143,27 +143,6 @@ func TestPredictRaggedParamsPadded(t *testing.T) {
 	}
 }
 
-func TestObserveAll(t *testing.T) {
-	p := New(Config{MinObservations: 2})
-	err := p.ObserveAll([][]float64{{1}, {2}, {3}}, []float64{10, 20, 30})
-	if err != nil {
-		t.Fatalf("ObserveAll error = %v", err)
-	}
-	if p.Len() != 3 {
-		t.Errorf("Len = %d, want 3", p.Len())
-	}
-	got, err := p.Predict([]float64{4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := got - ms(40); diff < -time.Millisecond || diff > time.Millisecond {
-		t.Errorf("Predict = %v, want ~40ms", got)
-	}
-	if err := p.ObserveAll([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("mismatched ObserveAll should error")
-	}
-}
-
 func TestObserveCopiesParams(t *testing.T) {
 	p := New(Config{})
 	params := []float64{9}

@@ -66,11 +66,3 @@ func BenchmarkFitMulti3Features(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkReservoirObserve(b *testing.B) {
-	r := NewReservoir(1024, rand.New(rand.NewSource(1)).Float64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Observe(float64(i))
-	}
-}

@@ -1,9 +1,8 @@
 // Package stats provides the statistical and mathematical analysis
 // substrate for the rich SDK and the personalized knowledge base. It stands
 // in for the Apache Commons Math library used by the paper: descriptive
-// statistics, histograms, linear / polynomial / multiple regression,
-// correlation, exponentially weighted averages, reservoir sampling, and
-// streaming percentile estimation.
+// statistics, percentiles, correlation, and linear / polynomial / multiple
+// regression. Latency distributions live in internal/metrics' histograms.
 package stats
 
 import (
@@ -161,36 +160,3 @@ func Correlation(xs, ys []float64) (float64, error) {
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
 }
-
-// EWMA is an exponentially weighted moving average. The zero value is not
-// ready; construct with NewEWMA. EWMA is not safe for concurrent use.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1]. Larger
-// alpha weights recent observations more heavily.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.2
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Observe folds x into the average.
-func (e *EWMA) Observe(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value returns the current average, or 0 before any observation.
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one observation has been folded in.
-func (e *EWMA) Initialized() bool { return e.init }

@@ -179,34 +179,6 @@ func TestCorrelationErrors(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Error("fresh EWMA should not be initialized")
-	}
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Errorf("first observation: Value = %v, want 10", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Errorf("Value = %v, want 15", e.Value())
-	}
-	e.Observe(15)
-	if e.Value() != 15 {
-		t.Errorf("Value = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMAInvalidAlphaDefaults(t *testing.T) {
-	e := NewEWMA(-1)
-	e.Observe(1)
-	e.Observe(2)
-	if v := e.Value(); v <= 1 || v >= 2 {
-		t.Errorf("default-alpha EWMA Value = %v, want within (1, 2)", v)
-	}
-}
-
 func TestMeanPropertyBounds(t *testing.T) {
 	// Property: mean is always within [min, max] of the sample.
 	f := func(xs []float64) bool {
