@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check cover bench bench-rdf bench-search bench-nlu bench-metrics bench-chaos bench-cloud loadgen-smoke cloud-smoke fmt fmt-check
+.PHONY: build test vet race check cover bench bench-rdf bench-search bench-nlu bench-metrics bench-chaos bench-cloud loadgen-smoke cloud-smoke fuzz-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -29,8 +29,9 @@ race:
 # short saturating burst with adaptive shedding on, catching harness or
 # admission-control regressions the unit tests can miss; cloud-smoke runs
 # the sharded-store experiment at reduced scale with value verification
-# on every read, catching placement or replication regressions.
-check: fmt-check vet race loadgen-smoke cloud-smoke
+# on every read, catching placement or replication regressions; fuzz-smoke
+# mutates every fuzz target's seed corpus for a few seconds.
+check: fmt-check vet race loadgen-smoke cloud-smoke fuzz-smoke
 
 # cover runs the full suite with per-package coverage percentages.
 cover:
@@ -104,6 +105,19 @@ loadgen-smoke:
 # are indicative only.
 cloud-smoke:
 	$(GO) run ./cmd/benchmark -run E22 -scale 0.15
+
+# fuzz-smoke runs every Fuzz* target in the repo for FUZZTIME each. go test
+# accepts one -fuzz target per package per invocation, so targets are found
+# by name and run one at a time from their own package directory.
+FUZZTIME ?= 3s
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' .); do \
+		dir=$$(dirname $$f); \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz $$dir $$t"; \
+			(cd $$dir && $(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) .); \
+		done; \
+	done
 
 fmt:
 	gofmt -w .

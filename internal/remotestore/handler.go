@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 )
 
 // Handler exposes the cluster through the same HTTP surface a single
@@ -36,6 +37,7 @@ func (cl *Cluster) Handler() http.Handler {
 		switch {
 		case err == nil:
 			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 			_, _ = w.Write(data)
 		case errors.Is(err, ErrNotFound):
 			http.NotFound(w, r)

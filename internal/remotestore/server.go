@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,7 +198,10 @@ func (s *Server) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
+		// A declared length lets the client read the body into one
+		// exactly sized buffer, in drip mode too.
 		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		s.mu.Lock()
 		chunk, delay := s.dripChunk, s.dripDelay
 		s.mu.Unlock()

@@ -3,9 +3,11 @@ package remotestore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -155,5 +157,94 @@ func TestSlowDripBody(t *testing.T) {
 	got2.Body.Close()
 	if !bytes.Equal(data2, body) {
 		t.Fatalf("post-drip body mismatch")
+	}
+}
+
+// oversizedNode is a hostile store node: Put succeeds, but every Get
+// answers 200 with a body one byte over DefaultMaxObjectBytes. With
+// declared set the body carries that Content-Length; otherwise it is
+// streamed chunked, so only the client's read limit can stop it.
+func oversizedNode(t *testing.T, declared bool) *httptest.Server {
+	t.Helper()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		total := int64(DefaultMaxObjectBytes) + 1
+		if declared {
+			w.Header().Set("Content-Length", strconv.FormatInt(total, 10))
+		}
+		w.WriteHeader(http.StatusOK)
+		chunk := make([]byte, 1<<20)
+		for sent := int64(0); sent < total; {
+			n := min(int64(len(chunk)), total-sent)
+			if _, err := w.Write(chunk[:n]); err != nil {
+				return // the client hung up
+			}
+			sent += n
+		}
+	}))
+	t.Cleanup(hs.Close)
+	return hs
+}
+
+// TestGetOversizedResponseRejected is the regression test for the
+// unbounded Get body read: a node that answers with more than
+// DefaultMaxObjectBytes fails the read with ErrTooLarge, whether it declares
+// the length up front or streams it chunked. On the pre-fix code both
+// bodies were read whole into memory and returned as the value.
+func TestGetOversizedResponseRejected(t *testing.T) {
+	for _, declared := range []bool{true, false} {
+		name := "chunked"
+		if declared {
+			name = "content-length"
+		}
+		t.Run(name, func(t *testing.T) {
+			hs := oversizedNode(t, declared)
+			tr := &transport{base: hs.URL, http: hs.Client()}
+			data, err := tr.get(context.Background(), "k")
+			if !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("get = %d bytes, err %v; want ErrTooLarge", len(data), err)
+			}
+		})
+	}
+}
+
+// TestClusterGetOversizedReplica drives the bound through the cluster
+// client: with the only replica hostile, Get reports ErrTooLarge instead of
+// handing the caller an oversized value.
+func TestClusterGetOversizedReplica(t *testing.T) {
+	hs := oversizedNode(t, true)
+	cl, err := NewCluster(ClusterConfig{Nodes: []string{hs.URL}, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Get("k"); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Get err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestGetDeclaredLengthExact pins the pre-sized read: a body of a declared
+// length round-trips byte-identically into a buffer of exactly that size.
+func TestGetDeclaredLengthExact(t *testing.T) {
+	srv := NewServer(nil)
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	tr := &transport{base: hs.URL, http: hs.Client()}
+	body := bytes.Repeat([]byte("z"), 3000)
+	if err := tr.put(context.Background(), "k", body); err != nil {
+		t.Fatal(err)
+	}
+	got, err := tr.get(context.Background(), "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, body) || cap(got) != len(body) {
+		t.Fatalf("get = %d bytes (cap %d), want %d identical bytes", len(got), cap(got), len(body))
 	}
 }

@@ -58,9 +58,35 @@ func (t *transport) get(ctx context.Context, key string) ([]byte, error) {
 	default:
 		return nil, &remoteError{status: resp.StatusCode, msg: "get"}
 	}
-	data, err := io.ReadAll(resp.Body)
+	return readObject(resp)
+}
+
+// ErrTooLarge is returned when a node answers a Get with a body over
+// DefaultMaxObjectBytes, the most any node accepts on Put.
+var ErrTooLarge = errors.New("remotestore: object exceeds size bound")
+
+// readObject reads a Get body of at most DefaultMaxObjectBytes. A declared
+// Content-Length over the bound fails before any byte is read; a declared
+// length within it is read into one exactly sized buffer.
+func readObject(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n > DefaultMaxObjectBytes {
+		return nil, fmt.Errorf("%w: node declared %d bytes", ErrTooLarge, n)
+	}
+	body := io.LimitReader(resp.Body, DefaultMaxObjectBytes+1)
+	if n >= 0 {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(body, data); err != nil {
+			return nil, fmt.Errorf("remotestore: read body: %w", err)
+		}
+		return data, nil
+	}
+	data, err := io.ReadAll(body)
 	if err != nil {
 		return nil, fmt.Errorf("remotestore: read body: %w", err)
+	}
+	if len(data) > DefaultMaxObjectBytes {
+		return nil, fmt.Errorf("%w: node sent over %d bytes", ErrTooLarge, int64(DefaultMaxObjectBytes))
 	}
 	return data, nil
 }
@@ -119,8 +145,12 @@ func isTransport(err error) bool {
 	return errors.As(err, &te)
 }
 
+// maxDrain bounds how much of an unread body drain discards so the
+// connection can be reused; a longer body is cut off by closing it.
+const maxDrain = 64 << 10
+
 func drain(resp *http.Response) {
-	_, _ = io.Copy(io.Discard, resp.Body)
+	_, _ = io.CopyN(io.Discard, resp.Body, maxDrain)
 	_ = resp.Body.Close()
 }
 
